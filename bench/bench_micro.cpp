@@ -466,8 +466,8 @@ void VerifyAndRecordInference() {
                   {"threads", static_cast<double>(threads)},
                   {"speedup_vs_pointer_walk", rate / pointer_walk}});
     }
-    // Per-kernel single-thread rates isolate the layout win (blocked
-    // level-synchronous sweep) from the vector win (SIMD predicates).
+    // Per-kernel single-thread rates: the per-tuple loop against the AVX2
+    // blocked level-synchronous sweep.
     const auto kernel_rate = [&](PredictKernel kernel) {
       return time_passes([&] {
         fx.compiled->PredictWithKernel(fx.batch, out, 1, kernel);
@@ -477,11 +477,6 @@ void VerifyAndRecordInference() {
     const double tuple_rate =
         kernel_rate(PredictKernel::kScalarTuple);
     writer.Add("kernel_scalar_tuple_t1", {{"tuples_per_sec", tuple_rate}});
-    const double block_rate =
-        kernel_rate(PredictKernel::kScalarBlock);
-    writer.Add("kernel_scalar_block_t1",
-               {{"tuples_per_sec", block_rate},
-                {"speedup_vs_scalar_tuple", block_rate / tuple_rate}});
     if (CompiledTree::SimdAvailable()) {
       const double simd_rate = kernel_rate(PredictKernel::kSimd);
       writer.Add("kernel_simd_t1",

@@ -252,37 +252,27 @@ Result<SamplingPhaseResult> BuildCoarseFromSample(
   // a pure function of (rng state, i): building the trees concurrently in
   // any order or on any thread count yields the identical coarse tree.
   //
-  // All b+1 resamples are multisets over the one sample, so the columnar
-  // engine grows every bootstrap tree as a weight vector over a single
-  // sealed master dataset: the per-attribute root sort is paid once for the
-  // whole phase and no resample is ever materialized. The index stream of
-  // SampleIndicesWithReplacement matches SampleWithReplacement exactly, so
-  // the trees — and the coarse tree — are unchanged.
+  // All b+1 resamples are multisets over the one sample, so every bootstrap
+  // tree grows as a weight vector over a single sealed master dataset: the
+  // per-attribute root sort is paid once for the whole phase and no resample
+  // is ever materialized. The index stream of SampleIndicesWithReplacement
+  // matches SampleWithReplacement exactly, so each tree is the one the
+  // materialized resample would grow.
   std::vector<std::optional<DecisionTree>> slots(
       static_cast<size_t>(opts.bootstrap_count));
-  if (GrowthEngineIsColumnar()) {
-    // Sealed before the fork; the root sorts use the whole budget.
-    ColumnDataset master(schema, result.sample, budget);
-    ParallelFor(opts.bootstrap_count, outer_workers, [&](int64_t i) {
-                  Rng tree_rng = rng->Split(static_cast<uint64_t>(i));
-                  const std::vector<uint32_t> picks =
-                      SampleIndicesWithReplacement(
-                          result.sample.size(), opts.bootstrap_subsample,
-                          &tree_rng);
-                  std::vector<int32_t> weights(result.sample.size(), 0);
-                  for (const uint32_t r : picks) ++weights[r];
-                  slots[i] = BuildTreeColumnarWeighted(
-                      master, weights, selector, bootstrap_limits);
-                });
-  } else {
-    ParallelFor(opts.bootstrap_count, outer_workers, [&](int64_t i) {
-                  Rng tree_rng = rng->Split(static_cast<uint64_t>(i));
-                  std::vector<Tuple> subsample = SampleWithReplacement(
-                      result.sample, opts.bootstrap_subsample, &tree_rng);
-                  slots[i] = BuildTreeInMemory(schema, std::move(subsample),
-                                               selector, bootstrap_limits);
-                });
-  }
+  // Sealed before the fork; the root sorts use the whole budget.
+  ColumnDataset master(schema, result.sample, budget);
+  ParallelFor(opts.bootstrap_count, outer_workers, [&](int64_t i) {
+                Rng tree_rng = rng->Split(static_cast<uint64_t>(i));
+                const std::vector<uint32_t> picks =
+                    SampleIndicesWithReplacement(result.sample.size(),
+                                                 opts.bootstrap_subsample,
+                                                 &tree_rng);
+                std::vector<int32_t> weights(result.sample.size(), 0);
+                for (const uint32_t r : picks) ++weights[r];
+                slots[i] = BuildTreeColumnarWeighted(master, weights, selector,
+                                                     bootstrap_limits);
+              });
   std::vector<DecisionTree> trees;
   trees.reserve(slots.size());
   for (std::optional<DecisionTree>& s : slots) {

@@ -12,7 +12,6 @@
 #include "storage/sampling.h"
 #include "storage/table_file.h"
 #include "tree/columnar_builder.h"
-#include "tree/inmem_builder.h"
 
 namespace boat {
 
@@ -706,22 +705,15 @@ Status BoatEngine::BuildFromFamily(ModelNode* node, BoatStats* stats) {
   if (demoted ||
       (!exact_recursion && (no_progress || size <= inmem_capacity ||
                             recursion_depth_ >= options_.max_recursion_depth))) {
-    if (GrowthEngineIsColumnar()) {
-      // Stream the (possibly spilled) family store straight into columns —
-      // no intermediate std::vector<Tuple> materialization.
-      ColumnDataset data(schema_);
-      data.Reserve(size);
-      BOAT_RETURN_NOT_OK(node->family->ForEach(
-          [&](const Tuple& t) { data.Append(t); }));
-      data.Seal(options_.limits.num_threads);
-      node->subtree = BuildSubtreeColumnar(data, *selector_, options_.limits,
-                                           node->depth);
-    } else {
-      BOAT_ASSIGN_OR_RETURN(auto tuples, node->family->ToVector());
-      node->subtree = BuildSubtreeInMemory(schema_, std::move(tuples),
-                                           *selector_, options_.limits,
-                                           node->depth);
-    }
+    // Stream the (possibly spilled) family store straight into columns —
+    // no intermediate std::vector<Tuple> materialization.
+    ColumnDataset data(schema_);
+    data.Reserve(size);
+    BOAT_RETURN_NOT_OK(
+        node->family->ForEach([&](const Tuple& t) { data.Append(t); }));
+    data.Seal(options_.limits.num_threads);
+    node->subtree = BuildSubtreeColumnar(data, *selector_, options_.limits,
+                                         node->depth);
     if (stats != nullptr) ++stats->frontier_inmem;
     node->dirty = false;
     return Status::OK();

@@ -384,6 +384,38 @@ void BoatServer::HandleConnection(Conn* conn) {
     if (--chunk->remaining == 0) finish_chunk();
   };
 
+  // Queues one data record on `lane`, or answers it at once (ERR/BUSY).
+  auto admit_record = [&](const std::string& args, Lane* lane) {
+    const std::shared_ptr<const ServableModel> model =
+        lane->registry->Snapshot();
+    if (model == nullptr) {
+      push_reply(
+          Reply::Err("model '" + lane->id + "' has no active model"),
+          lane);
+      return;
+    }
+    Result<Tuple> tuple = ParseRecordLine(args, model->schema);
+    if (!tuple.ok()) {
+      push_reply(Reply::Err(tuple.status().message()), lane);
+      return;
+    }
+    internal::Request req;
+    req.tuple = std::move(*tuple);
+    req.out = &slots[used_slots];
+    req.wg = &wg;
+    // determinism-lint: allow(latency-histogram timestamp; no prediction depends on it)
+    req.admitted = std::chrono::steady_clock::now();
+    wg.Add(1);
+    if (lane->queue.TryPush(std::move(req))) {
+      replies.push_back({"", static_cast<int>(used_slots)});
+      ++used_slots;
+      ++unannounced;
+    } else {
+      wg.Done();  // never admitted; nothing to wait for
+      push_reply(Reply::Busy(), lane);
+    }
+  };
+
   auto process_line = [&](std::string line) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.size() > options_.max_line_bytes) {
@@ -405,43 +437,17 @@ void BoatServer::HandleConnection(Conn* conn) {
       return Reply::Err("unknown model '" + parsed->model_id + "'");
     };
     switch (parsed->verb) {
-      case Verb::kRecord: {
-        requests_.fetch_add(1, std::memory_order_relaxed);
+      case Verb::kRecord:
+        // Counted only once the record is queued or answered: a STATS that
+        // sees the count and an empty queue knows a worker has popped it.
         if (lane == nullptr) {
           push_reply(unknown_model());
-          return;
-        }
-        lane->requests.fetch_add(1, std::memory_order_relaxed);
-        const std::shared_ptr<const ServableModel> model =
-            lane->registry->Snapshot();
-        if (model == nullptr) {
-          push_reply(
-              Reply::Err("model '" + lane->id + "' has no active model"),
-              lane);
-          return;
-        }
-        Result<Tuple> tuple = ParseRecordLine(parsed->args, model->schema);
-        if (!tuple.ok()) {
-          push_reply(Reply::Err(tuple.status().message()), lane);
-          return;
-        }
-        internal::Request req;
-        req.tuple = std::move(*tuple);
-        req.out = &slots[used_slots];
-        req.wg = &wg;
-        // determinism-lint: allow(latency-histogram timestamp; no prediction depends on it)
-        req.admitted = std::chrono::steady_clock::now();
-        wg.Add(1);
-        if (lane->queue.TryPush(std::move(req))) {
-          replies.push_back({"", static_cast<int>(used_slots)});
-          ++used_slots;
-          ++unannounced;
         } else {
-          wg.Done();  // never admitted; nothing to wait for
-          push_reply(Reply::Busy(), lane);
+          admit_record(parsed->args, lane);
+          lane->requests.fetch_add(1, std::memory_order_release);
         }
+        requests_.fetch_add(1, std::memory_order_release);
         return;
-      }
       case Verb::kStats:
         if (parsed->model_id.empty()) {
           replies.push_back({StatsJson(), -1});
@@ -763,12 +769,13 @@ void BoatServer::ScoringWorker(size_t worker_index) {
 
 std::string BoatServer::LaneStatsJson(const Lane& lane) const {
   const std::shared_ptr<const ServableModel> model = lane.registry->Snapshot();
+  // Read before the queue depth: every counted record was queued before
+  // its count was published, so a depth read afterwards sees it.
+  const uint64_t requests = lane.requests.load(std::memory_order_acquire);
   std::string json = StrPrintf(
       "{\"model_id\":\"%s\",\"requests\":%llu,\"errors\":%llu,"
       "\"busy\":%llu,\"queue_depth\":%zu,\"reloads\":%lld,\"ensemble\":%s",
-      lane.id.c_str(),
-      static_cast<unsigned long long>(
-          lane.requests.load(std::memory_order_relaxed)),
+      lane.id.c_str(), static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(
           lane.errors.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
@@ -794,6 +801,8 @@ std::string BoatServer::StatsJson() const {
   const Lane& default_lane = *lanes_.front();
   const std::shared_ptr<const ServableModel> model =
       default_lane.registry->Snapshot();
+  // Read before the queue depths (see LaneStatsJson).
+  const uint64_t requests = requests_.load(std::memory_order_acquire);
   size_t queue_depth = 0;
   int64_t reloads = 0;
   for (const std::unique_ptr<Lane>& lane : lanes_) {
@@ -804,8 +813,7 @@ std::string BoatServer::StatsJson() const {
   json += StrPrintf(
       "\"requests\":%llu,\"errors\":%llu,\"busy\":%llu,\"batches\":%llu,"
       "\"queue_depth\":%zu,\"reloads\":%lld",
-      static_cast<unsigned long long>(
-          requests_.load(std::memory_order_relaxed)),
+      static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(errors_.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(busy_.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(

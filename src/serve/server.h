@@ -190,8 +190,9 @@ class BoatServer {
 
     BoundedQueue<internal::Request> queue;
 
-    // Per-model counters for STATS; relaxed (monotonic tallies, no reader
-    // orders other memory against them).
+    // Per-model counters for STATS: monotonic tallies. `requests` is
+    // release-incremented once a record is queued or answered and
+    // acquire-read before the queue depth; the others are relaxed.
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> errors{0};
     std::atomic<uint64_t> busy{0};
@@ -262,9 +263,9 @@ class BoatServer {
   CondVar pause_cv_;
   bool scoring_paused_ BOAT_GUARDED_BY(pause_mu_) = false;
 
-  // Counters for STATS; relaxed atomics. Invariant for all four: monotonic
-  // tallies with no reader ordering other memory against them, so relaxed
-  // is the correct (and strongest useful) order.
+  // Counters for STATS: monotonic tallies. requests_ follows the same
+  // release/acquire protocol as Lane::requests; the other three are relaxed,
+  // since no reader orders other memory against them.
   std::atomic<uint64_t> requests_{0};  ///< data-record lines admitted or not
   std::atomic<uint64_t> errors_{0};    ///< per-line ERR replies
   std::atomic<uint64_t> busy_{0};      ///< per-line BUSY replies

@@ -1,8 +1,6 @@
 #include "tree/compiled_tree.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 
@@ -28,44 +26,28 @@ constexpr int64_t kOutGrain = 16;
 /// are identical either way.
 constexpr int64_t kMinBlockBatch = 32;
 
-// kAuto's tuple/block crossover. The block kernels win by streaming a
+// kAuto's tuple/block crossover. The block kernel wins by streaming a
 // batch too large for the cache through a transposed pane; the per-tuple
 // walk wins whenever the working set (batch + hot tree levels) stays
 // cache-resident, because the block path pays the transpose and the
 // level-synchronous sweep re-visits every live lane per level. Measured on
 // the Agrawal schema (see BENCH_inference.json for this host's t1 rates):
 // the tuple loop is 2-5x faster below ~2k tuples at every depth, the block
-// kernels break even around 2k tuples for deep (>= ~20 level) trees, and
+// kernel breaks even around 2k tuples for deep (>= ~20 level) trees, and
 // shallow trees need ~16k tuples before blocking pays at all.
 constexpr int64_t kTupleCrossoverBatch = 2048;   ///< below: always tuple
 constexpr int kTupleCrossoverDepth = 20;         ///< deep-tree threshold
 constexpr int64_t kTupleCrossoverBatchShallow = 16384;  ///< shallow trees
 
-/// BOAT_SIMD environment override, mirroring BOAT_GROWTH_ENGINE. Kernel
-/// choice never changes predictions — every kernel is byte-identical by
-/// contract (enforced by the equivalence matrix in
+/// The AVX2 block kernel when this build and CPU have it, else nullptr (the
+/// per-tuple loop then scores every batch). Kernel choice never changes
+/// predictions (enforced by the equivalence matrix in
 /// tests/compiled_tree_test.cpp).
-enum class SimdMode {
-  kAuto,         ///< unset/unknown: crossover dispatch, SIMD if available
-  kForceScalar,  ///< "off"/"0"/"scalar"/"false": scalar block kernel
-  kForceTuple,   ///< "tuple": per-tuple loop regardless of batch size
-  kForceBlock,   ///< "block"/"simd"/"on"/"1": block path, skip crossover
-};
-
-SimdMode SimdModeByEnv() {
-  // determinism-lint: allow(kernel selection is output-invariant; all kernels produce byte-identical predictions)
-  const char* env = std::getenv("BOAT_SIMD");
-  if (env == nullptr || env[0] == '\0') return SimdMode::kAuto;
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-      std::strcmp(env, "scalar") == 0 || std::strcmp(env, "false") == 0) {
-    return SimdMode::kForceScalar;
-  }
-  if (std::strcmp(env, "tuple") == 0) return SimdMode::kForceTuple;
-  if (std::strcmp(env, "block") == 0 || std::strcmp(env, "simd") == 0 ||
-      std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0) {
-    return SimdMode::kForceBlock;
-  }
-  return SimdMode::kAuto;
+detail::BlockKernelFn SimdBlockKernel() {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (detail::Avx2Supported()) return &detail::ScoreBlockAvx2;
+#endif
+  return nullptr;
 }
 
 }  // namespace
@@ -151,7 +133,8 @@ CompiledTree::CompiledTree(const DecisionTree& tree)
   }
 
   // ---- Block-kernel layout: column slots + adjacent child pairs.
-  // The kernels index pair_child_ at 2 * id, so ids must fit with headroom.
+  // The block kernel indexes pair_child_ at 2 * id, so ids must fit with
+  // headroom.
   if (attr_.size() > (size_t{1} << 30)) {
     FatalError("CompiledTree: node pool exceeds the block-kernel id range");
   }
@@ -199,33 +182,22 @@ void CompiledTree::PredictWithKernel(std::span<const Tuple> tuples,
   if (n == 0) return;
   const int threads = ResolveThreadCount(num_threads);
   if (kernel == PredictKernel::kAuto) {
-    switch (SimdModeByEnv()) {
-      case SimdMode::kForceScalar:
-        kernel = PredictKernel::kScalarBlock;
-        break;
-      case SimdMode::kForceTuple:
-        kernel = PredictKernel::kScalarTuple;
-        break;
-      case SimdMode::kForceBlock:
-        kernel = PredictKernel::kSimd;
-        break;
-      case SimdMode::kAuto:
-        // Batch-size/depth crossover (constants above): block the batch
-        // only when it is big enough — and, for shallow trees, much bigger
-        // — for the transpose + level sweeps to beat the per-tuple walk.
-        kernel = (n >= kTupleCrossoverBatch &&
-                  (depth_ >= kTupleCrossoverDepth ||
-                   n >= kTupleCrossoverBatchShallow))
-                     ? PredictKernel::kSimd
-                     : PredictKernel::kScalarTuple;
-        break;
-    }
+    // Batch-size/depth crossover (constants above): block the batch only
+    // when it is big enough — and, for shallow trees, much bigger — for the
+    // transpose + level sweeps to beat the per-tuple walk.
+    kernel = (n >= kTupleCrossoverBatch &&
+              (depth_ >= kTupleCrossoverDepth ||
+               n >= kTupleCrossoverBatchShallow))
+                 ? PredictKernel::kSimd
+                 : PredictKernel::kScalarTuple;
   }
+  const detail::BlockKernelFn block = SimdBlockKernel();
   // Static contiguous stripes (no shared shard counter — fixed-cost work
   // would serialize on it) with cache-line-aligned slab boundaries; every
   // stripe writes only its own output slots, so the result is identical
   // for any thread count and any kernel.
-  if (kernel == PredictKernel::kScalarTuple || n < kMinBlockBatch) {
+  if (kernel == PredictKernel::kScalarTuple || block == nullptr ||
+      n < kMinBlockBatch) {
     ParallelForStatic(n, threads, kOutGrain,
                       [&](int64_t begin, int64_t end, int) {
                         for (int64_t i = begin; i < end; ++i) {
@@ -235,11 +207,9 @@ void CompiledTree::PredictWithKernel(std::span<const Tuple> tuples,
                       });
     return;
   }
-  const detail::BlockKernelChoice choice =
-      detail::ChooseBlockKernel(kernel == PredictKernel::kSimd);
   ParallelForStatic(n, threads, kOutGrain,
                     [&](int64_t begin, int64_t end, int) {
-                      ScoreRange(tuples, out, begin, end, choice.fn);
+                      ScoreRange(tuples, out, begin, end, block);
                     });
 }
 
@@ -248,7 +218,7 @@ void CompiledTree::ScoreRange(std::span<const Tuple> tuples,
                               int64_t end, detail::BlockKernelFn fn) const {
   const size_t slots = slot_attr_.size();
   // Per-call (= per-thread) scratch: the transposed column pane plus the
-  // two active-lane arrays, padded for the SIMD kernels' full-width sweeps.
+  // two active-lane arrays, padded for the SIMD kernel's full-width sweeps.
   std::vector<double> col(std::max<size_t>(slots, 1) *
                           static_cast<size_t>(kBlockTuples));
   const size_t act_cap =
@@ -284,19 +254,10 @@ std::vector<int32_t> CompiledTree::Predict(std::span<const Tuple> tuples,
   return out;
 }
 
-bool CompiledTree::SimdAvailable() {
-  return detail::SimdBlockKernelAvailable();
-}
+bool CompiledTree::SimdAvailable() { return SimdBlockKernel() != nullptr; }
 
 const char* CompiledTree::ActiveKernelName() {
-  switch (SimdModeByEnv()) {
-    case SimdMode::kForceTuple:
-      return "tuple";
-    case SimdMode::kForceScalar:
-      return detail::ChooseBlockKernel(false).name;
-    default:
-      return detail::ChooseBlockKernel(true).name;
-  }
+  return SimdAvailable() ? "avx2" : "tuple";
 }
 
 double CompiledTree::MisclassificationRate(std::span<const Tuple> tuples,

@@ -1,8 +1,8 @@
-// Block scoring kernels for CompiledTree::Predict.
+// Block scoring kernel for CompiledTree::Predict.
 //
 // The batch path scores tuples in L2-sized blocks. Each block is transposed
 // once into a column-major scratch pane (one contiguous row of doubles per
-// split attribute), then a kernel walks *tree levels over the whole block*
+// split attribute), then the kernel walks *tree levels over the whole block*
 // instead of whole root-to-leaf paths over one tuple: every active lane
 // advances one level per sweep through branchless index arithmetic
 // (`next = pair_child[2 * node + go_right]`, leaves self-loop), settled
@@ -11,13 +11,10 @@
 // memory-level parallelism the per-tuple walk cannot express is exposed to
 // the hardware — and to SIMD.
 //
-// Kernels are interchangeable: every kernel must produce predictions
-// byte-identical to DecisionTree::Classify (the scalar kernel is the
-// reference; the equivalence matrix in tests/compiled_tree_test.cpp checks
-// all of them against the pointer walk). Dispatch is at runtime: AVX2 on
-// x86-64 when the CPU supports it, NEON on AArch64, with the scalar block
-// kernel as the always-available fallback and a BOAT_SIMD=off override (see
-// ChooseBlockKernel).
+// The one block kernel is AVX2, on x86-64 CPUs that support it; everywhere
+// else CompiledTree scores with the per-tuple loop. Its predictions must be
+// byte-identical to DecisionTree::Classify (the equivalence matrix in
+// tests/compiled_tree_test.cpp checks it against the pointer walk).
 
 #ifndef BOAT_TREE_PREDICT_KERNELS_H_
 #define BOAT_TREE_PREDICT_KERNELS_H_
@@ -27,7 +24,7 @@
 namespace boat::detail {
 
 /// \brief POD view over a CompiledTree's node pool, precomputed for the
-/// block kernels. All arrays are indexed by the dense preorder node id
+/// block kernel. All arrays are indexed by the dense preorder node id
 /// except `slot_domain_bits`, which is indexed by column slot.
 struct NodePoolView {
   const int32_t* slot;           ///< column slot of the split attr; leaf: 0
@@ -46,19 +43,14 @@ struct NodePoolView {
 /// \brief Scores one transposed block. `col` is column-major scratch:
 /// the value of column slot s for block-lane i is col[s * stride + i],
 /// i in [0, nb). Writes out[i] for every lane. `act_idx` and `act_node` are
-/// caller-provided scratch of at least nb + kActPad int32 each (kernels pad
-/// past the live prefix so vector sweeps can overread safely).
+/// caller-provided scratch of at least nb + kActPad int32 each (the kernel
+/// pads past the live prefix so vector sweeps can overread safely).
 using BlockKernelFn = void (*)(const NodePoolView& pool, const double* col,
                                int64_t stride, int64_t nb, int32_t* act_idx,
                                int32_t* act_node, int32_t* out);
 
 /// Scratch padding required past nb in act_idx / act_node.
 inline constexpr int64_t kActPad = 8;
-
-/// \brief Reference scalar block kernel (always available, every platform).
-void ScoreBlockScalar(const NodePoolView& pool, const double* col,
-                      int64_t stride, int64_t nb, int32_t* act_idx,
-                      int32_t* act_node, int32_t* out);
 
 #if defined(__x86_64__) || defined(_M_X64)
 /// \brief AVX2 block kernel: 8 lanes per sweep, gathered node fields,
@@ -69,31 +61,6 @@ void ScoreBlockAvx2(const NodePoolView& pool, const double* col,
                     int32_t* act_node, int32_t* out);
 bool Avx2Supported();
 #endif
-
-#if defined(__aarch64__) && defined(__ARM_NEON)
-/// \brief NEON block kernel: 2-lane f64 predicate evaluation (AArch64 has
-/// no gather, so node fields are loaded per lane).
-void ScoreBlockNeon(const NodePoolView& pool, const double* col,
-                    int64_t stride, int64_t nb, int32_t* act_idx,
-                    int32_t* act_node, int32_t* out);
-#endif
-
-/// \brief A dispatched kernel plus its name ("avx2", "neon", "scalar") for
-/// diagnostics and bench trajectories.
-struct BlockKernelChoice {
-  BlockKernelFn fn;
-  const char* name;
-};
-
-/// \brief True when a SIMD block kernel exists for this build *and* the
-/// running CPU supports it.
-bool SimdBlockKernelAvailable();
-
-/// \brief Picks the fastest kernel: SIMD when `allow_simd` and the hardware
-/// supports it, otherwise the scalar block kernel. Pure CPU dispatch — the
-/// BOAT_SIMD environment override is applied by the caller (CompiledTree),
-/// not here.
-BlockKernelChoice ChooseBlockKernel(bool allow_simd);
 
 }  // namespace boat::detail
 

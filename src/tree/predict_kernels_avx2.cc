@@ -1,11 +1,10 @@
-// AVX2 block kernel: the level-synchronous sweep of ScoreBlockScalar with 8
-// lanes per step. Node fields are fetched with vector gathers, the numeric
-// predicate is one vcmppd (NLE_UQ, so NaN goes right exactly like the
-// scalar `!(v <= t)`), categorical membership is a masked 64-bit gather into
-// the shared bitset pool plus a variable shift, and the surviving (still
-// internal) lanes are left-packed with a permutevar LUT. Predictions are
-// byte-identical to ScoreBlockScalar / DecisionTree::Classify — only the
-// schedule differs.
+// AVX2 block kernel: a level-synchronous sweep with 8 lanes per step. Node
+// fields are fetched with vector gathers, the numeric predicate is one
+// vcmppd (NLE_UQ, so NaN goes right exactly like Classify's `!(v <= t)`),
+// categorical membership is a masked 64-bit gather into the shared bitset
+// pool plus a variable shift, and the surviving (still internal) lanes are
+// left-packed with a permutevar LUT. Predictions are byte-identical to
+// DecisionTree::Classify — only the schedule differs.
 //
 // This translation unit alone is built with -mavx2 (see src/CMakeLists.txt);
 // callers must check Avx2Supported() first, which keeps the rest of the
@@ -130,7 +129,7 @@ void ScoreBlockAvx2(const NodePoolView& pool, const double* col,
       const __m256d t_hi = GatherPd(pool.threshold, vnode_hi);
 
       // Numeric: go right iff !(v <= t); NLE_UQ is true for NaN, matching
-      // the scalar comparison semantics exactly.
+      // Classify's comparison semantics exactly.
       const __m256i right_num = PackMask64(
           _mm256_castpd_si256(_mm256_cmp_pd(v_lo, t_lo, _CMP_NLE_UQ)),
           _mm256_castpd_si256(_mm256_cmp_pd(v_hi, t_hi, _CMP_NLE_UQ)));
@@ -141,7 +140,7 @@ void ScoreBlockAvx2(const NodePoolView& pool, const double* col,
 
       if (_mm256_movemask_epi8(is_cat) != 0) {
         // Categorical: c = (int32)v truncated toward zero (cvttpd matches
-        // the scalar cast), left iff 0 <= c < width and bit c is set.
+        // a C++ cast), left iff 0 <= c < width and bit c is set.
         const __m256i c = _mm256_set_m128i(_mm256_cvttpd_epi32(v_hi),
                                            _mm256_cvttpd_epi32(v_lo));
         const __m256i dw = _mm256_i32gather_epi32(dw_i32, slot, 4);
@@ -156,7 +155,7 @@ void ScoreBlockAvx2(const NodePoolView& pool, const double* col,
         const __m256i mask_hi = _mm256_cvtepi32_epi64(probe_hi_m);
         // Out-of-domain / numeric / padding lanes gather nothing (word 0),
         // so their bit is 0 and they fall through to "right", exactly like
-        // the scalar short-circuit.
+        // Classify's short-circuit.
         const __m256i word_lo = _mm256_mask_i32gather_epi64(
             _mm256_setzero_si256(), bits_i64, _mm256_castsi256_si128(widx),
             mask_lo, 8);
@@ -192,8 +191,8 @@ void ScoreBlockAvx2(const NodePoolView& pool, const double* col,
       const __m256i lbl = _mm256_i32gather_epi32(label_i32, next, 4);
 
       // AVX2 has no scatter: spill lanes and store labels scalar. Internal
-      // nodes write -1, overwritten when the lane settles (same
-      // write-every-level contract as the scalar kernel).
+      // nodes write -1, overwritten when the lane settles; every lane writes
+      // its real label exactly once, so `out` may start uninitialized.
       alignas(32) int32_t idx_buf[8];
       alignas(32) int32_t lbl_buf[8];
       _mm256_store_si256(reinterpret_cast<__m256i*>(idx_buf), vidx);

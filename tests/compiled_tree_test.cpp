@@ -7,9 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,15 +21,14 @@
 namespace boat {
 namespace {
 
-// Every kernel worth testing on this host: the per-tuple pointer-free walk,
-// the blocked level-synchronous scalar sweep, and (when the CPU has it) the
-// SIMD sweep. kAuto rides along to cover the dispatch path itself.
+// Every kernel worth testing on this host: the per-tuple pointer-free walk
+// and (when the CPU has it) the SIMD level-synchronous sweep. kAuto rides
+// along to cover the dispatch path itself.
 std::vector<std::pair<PredictKernel, const char*>>
 TestableKernels() {
   std::vector<std::pair<PredictKernel, const char*>> kernels = {
       {PredictKernel::kAuto, "auto"},
       {PredictKernel::kScalarTuple, "scalar_tuple"},
-      {PredictKernel::kScalarBlock, "scalar_block"},
   };
   if (CompiledTree::SimdAvailable()) {
     kernels.emplace_back(PredictKernel::kSimd, "simd");
@@ -235,43 +232,11 @@ TEST(CompiledTreeTest, OddSizedBatchTails) {
   }
 }
 
-TEST(CompiledTreeTest, SimdEnvOverrideForcesScalarBlockKernel) {
-  // BOAT_SIMD=off must force the scalar block kernel on the kAuto path —
-  // and, by the byte-identical contract, change nothing about the output.
-  const auto data = AgrawalData(7, 2000, 808);
-  auto selector = MakeGiniSelector();
-  DecisionTree tree = BuildTreeInMemory(MakeAgrawalSchema(), data, *selector);
-  const CompiledTree compiled(tree);
-  const std::vector<int32_t> baseline = compiled.Predict(data, 1);
-
-  const char* saved = std::getenv("BOAT_SIMD");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  for (const char* off : {"off", "0", "scalar", "false"}) {
-    ASSERT_EQ(setenv("BOAT_SIMD", off, 1), 0);
-    EXPECT_STREQ(CompiledTree::ActiveKernelName(), "scalar")
-        << "BOAT_SIMD=" << off;
-    EXPECT_EQ(compiled.Predict(data, 2), baseline) << "BOAT_SIMD=" << off;
-  }
-  ASSERT_EQ(setenv("BOAT_SIMD", "on", 1), 0);
-  if (CompiledTree::SimdAvailable()) {
-    EXPECT_STRNE(CompiledTree::ActiveKernelName(), "scalar");
-  } else {
-    EXPECT_STREQ(CompiledTree::ActiveKernelName(), "scalar");
-  }
-  EXPECT_EQ(compiled.Predict(data, 2), baseline);
-  // "tuple" pins the per-tuple loop; "block" pins block dispatch past the
-  // crossover. Both are pure scheduling choices: output unchanged.
-  ASSERT_EQ(setenv("BOAT_SIMD", "tuple", 1), 0);
-  EXPECT_STREQ(CompiledTree::ActiveKernelName(), "tuple");
-  EXPECT_EQ(compiled.Predict(data, 2), baseline);
-  ASSERT_EQ(setenv("BOAT_SIMD", "block", 1), 0);
-  EXPECT_STRNE(CompiledTree::ActiveKernelName(), "tuple");
-  EXPECT_EQ(compiled.Predict(data, 2), baseline);
-  if (saved != nullptr) {
-    ASSERT_EQ(setenv("BOAT_SIMD", saved_value.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(unsetenv("BOAT_SIMD"), 0);
-  }
+TEST(CompiledTreeTest, ActiveKernelNameFollowsSimdAvailability) {
+  // Above the crossover kAuto scores with the AVX2 kernel when the CPU has
+  // it and with the per-tuple loop otherwise; the name reports which.
+  EXPECT_STREQ(CompiledTree::ActiveKernelName(),
+               CompiledTree::SimdAvailable() ? "avx2" : "tuple");
 }
 
 }  // namespace

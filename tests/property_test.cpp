@@ -127,14 +127,19 @@ TEST(BoundSoundnessProperty, CornerBoundNeverExceedsCandidateImpurity) {
 
 // ------------------------------------------- randomized tree equivalence
 
+// gtest names each case by the bytes of its parameter, so every field is
+// eight bytes wide (no padding): the discovered test names are then the
+// same on every build.
 struct RandomDatasetSpec {
   uint64_t seed;
-  int num_numeric;
-  int num_categorical;
-  int num_classes;
-  int num_tuples;
-  int value_range;  // small => many duplicated values / point masses
+  int64_t num_numeric;
+  int64_t num_categorical;
+  int64_t num_classes;
+  int64_t num_tuples;
+  int64_t value_range;  // small => many duplicated values / point masses
 };
+static_assert(sizeof(RandomDatasetSpec) == 6 * 8,
+              "RandomDatasetSpec is padded");
 
 class RandomEquivalenceTest
     : public ::testing::TestWithParam<RandomDatasetSpec> {};

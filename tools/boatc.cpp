@@ -9,8 +9,6 @@
 //   boatc apply-chunk --model model/ --delete expired.csv [--json]
 //   boatc inspect  --model model/ [--rules] [--dot]
 //
-// (`boatc update` is a deprecated alias of apply-chunk.)
-//
 // Training data may also be a CSV file (schema inferred; see storage/csv.h);
 // everything else uses the binary table format tied to the model's schema.
 //
@@ -510,7 +508,7 @@ int Usage() {
       "  classify --model DIR --data FILE [--out FILE] [--threads T]\n"
       "           [--ensemble (bagged vote over <model>/ensemble)] [--json]\n"
       "  apply-chunk --model DIR (--insert FILE | --delete FILE)\n"
-      "           [--selector ...] [--json]   (alias: update, deprecated)\n"
+      "           [--selector ...] [--json]\n"
       "  inspect  --model DIR [--rules] [--dot]\n"
       "Data files: .tbl (binary tables; Agrawal schema assumed for training)\n"
       "or .csv (schema inferred at training time). classify/evaluate also\n"
@@ -529,12 +527,6 @@ int main(int argc, char** argv) {
   if (command == "evaluate") return CmdEvaluate(flags);
   if (command == "classify") return CmdClassify(flags);
   if (command == "apply-chunk") return CmdApplyChunk(flags);
-  if (command == "update") {
-    std::fprintf(stderr,
-                 "note: `boatc update` is deprecated; use `boatc "
-                 "apply-chunk`\n");
-    return CmdApplyChunk(flags);
-  }
   if (command == "inspect") return CmdInspect(flags);
   return Usage();
 }

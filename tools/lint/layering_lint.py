@@ -16,7 +16,6 @@ that changes).
 
 Module resolution:
   * `#include "mod/header.h"` -> module `mod` (must be a known module);
-  * `#include "boat.h"` -> the umbrella header, owned by the `boat` layer;
   * a bare `#include "header.h"` resolves to the includer's own directory
     (the only such includes today are tools/common_flags.h siblings).
 
@@ -59,15 +58,11 @@ def module_of_file(path: pathlib.Path, repo: pathlib.Path) -> str | None:
         return None
     if top != "src":
         return None
-    if len(rel.parts) == 2:  # src/boat.h umbrella shim
-        return "boat"
     return rel.parts[1]
 
 
 def module_of_include(target: str, includer_module: str | None) -> str | None:
     """The module an include target belongs to, or None if unresolvable."""
-    if target == "boat.h":  # umbrella header at src/boat.h
-        return "boat"
     if "/" in target:
         head = target.split("/", 1)[0]
         return head if head in ALLOWED else None
